@@ -382,10 +382,30 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_config(args: argparse.Namespace):
+    """The :class:`ServerConfig` of ``repro serve``: given flags over defaults.
+
+    Tuning flags are named after config fields and default to None, so
+    each default is declared once, on the config.
+    """
+    from dataclasses import fields
+
+    from repro.serve import ServerConfig
+
+    given = {
+        field.name: getattr(args, field.name)
+        for field in fields(ServerConfig)
+        if getattr(args, field.name, None) is not None
+    }
+    if args.no_batching:
+        given["batching"] = False
+    return ServerConfig(**given)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve import ModelStore, PowerQueryServer, ServerConfig, open_backend
+    from repro.serve import ModelStore, PowerQueryServer, open_backend
 
     netlists = [_load(identifier) for identifier in args.circuits]
     names = [netlist.name for netlist in netlists]
@@ -400,22 +420,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.models import build_add_models_parallel
 
         models = build_add_models_parallel(netlists, **build_kwargs)
-    server_config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        request_timeout_s=args.request_timeout,
-        batching=not args.no_batching,
-        max_connections=args.max_connections,
-        max_parked_rows=args.max_parked_rows,
-        kernel=args.kernel,
-        fused=args.fused,
-        slowlog_threshold_ms=args.slowlog_threshold_ms,
-        slowlog_rate=args.slowlog_rate,
-        slowlog_capacity=args.slowlog_capacity,
-        trace_dir=args.trace_dir,
-    )
+    server_config = _serve_config(args)
     if args.trace_dir is not None:
         # Collect spans in this process too (single server: the request
         # path; cluster: the router) so a trace file is written at stop.
@@ -429,7 +434,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cluster = Cluster(
             dict(zip(names, models)),
             ClusterConfig(
-                host=args.host,
+                host=server_config.host,
                 router_port=args.port,
                 workers=args.workers,
                 replication=args.replication,
@@ -470,10 +475,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         await server.start()
+        config = server.config
         mode = (
-            f"micro-batching (max_batch={args.max_batch}, "
-            f"max_wait={args.max_wait_ms}ms)"
-            if not args.no_batching
+            f"micro-batching (max_batch={config.max_batch}, "
+            f"max_wait={config.max_wait_ms}ms)"
+            if config.batching
             else "unbatched"
         )
         print(
@@ -1163,7 +1169,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "circuits", nargs="+", help="benchmark names or netlist paths to serve"
     )
-    serve.add_argument("--host", default="127.0.0.1")
+    # Tuning flags are named after ServerConfig fields and default to
+    # None: an unset flag keeps the config's default (see _serve_config).
+    serve.add_argument("--host", default=None)
     serve.add_argument(
         "--port", type=int, default=7090, help="0 picks an ephemeral port"
     )
@@ -1180,19 +1188,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch",
         type=int,
-        default=256,
+        default=None,
         help="flush a model's queue at this many rows",
     )
     serve.add_argument(
         "--max-wait-ms",
         type=float,
-        default=2.0,
-        help="flush after the oldest request waited this long",
+        default=None,
+        help="flush after the oldest request waited this long "
+        "(default 0: on the next event-loop iteration)",
     )
     serve.add_argument(
         "--request-timeout",
+        dest="request_timeout_s",
         type=float,
-        default=30.0,
+        default=None,
         help="per-request deadline in seconds",
     )
     serve.add_argument(
@@ -1214,13 +1224,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel",
-        default="auto",
+        default=None,
         help="evaluation backend to pin the served models to "
-        "(auto, pointer, levelized, bitparallel, codegen)",
+        "(auto, pointer, levelized, bitparallel, codegen; default auto)",
     )
     serve.add_argument(
         "--fused",
         action="store_true",
+        default=None,
         help="fuse codegen-eligible models into one shared kernel and "
         "drain all batchers per flush",
     )
@@ -1252,19 +1263,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--slowlog-threshold-ms",
         type=float,
-        default=100.0,
+        default=None,
         help="record requests slower than this in the slow-query log",
     )
     serve.add_argument(
         "--slowlog-rate",
         type=float,
-        default=1.0,
+        default=None,
         help="sampling probability for slow-query log entries (0..1)",
     )
     serve.add_argument(
         "--slowlog-capacity",
         type=int,
-        default=128,
+        default=None,
         help="slow-query log ring-buffer size",
     )
     serve.add_argument(

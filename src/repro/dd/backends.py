@@ -30,15 +30,17 @@ registered by name.  Four backends ship with the library:
     Emits the levelized plan as C (level pairs fused into radix-4
     tables to halve the dependent-load chain, block-of-8 row unrolling
     so ~8 independent L1 load chains overlap), compiles it with the
-    system C compiler and binds it via cffi in ABI mode.
-    Compiled libraries are cached process-wide by source digest.  The
+    system C compiler and loads it with ctypes.  Compiled libraries
+    persist in a per-user kernel cache (:func:`kernel_cache_dir`) keyed
+    by a digest of the plan arrays, the emitter and the compiler, so a
+    later process loads them without emitting C or running ``cc``.  The
     same emitter produces **fused** libraries: one shared object holding
     several models' kernels plus an ``eval_fused`` entry point, so the
     serving micro-batcher evaluates many models in one foreign call
-    (:class:`FusedKernel`).  When cffi or a C compiler is missing an
-    optional numba path is tried; failing both, evaluation falls back
-    to the levelized kernel (gracefully — the ``eval.codegen.
-    compile_fail`` fault site provokes exactly this path in tests).
+    (:class:`FusedKernel`).  When no C compiler is available an optional
+    numba path is tried; failing both, evaluation falls back to the
+    levelized kernel (gracefully — the ``eval.codegen.compile_fail``
+    fault site provokes exactly this path in tests).
 
 Selection
 ---------
@@ -46,7 +48,10 @@ Selection
 ``REPRO_EVAL_BACKEND`` environment override wins (unknown names raise
 :class:`~repro.errors.BackendError`), then a warm codegen kernel, then
 bit-parallel for large batches on thin plans, then levelized, with
-pointer as the universal fallback.  The chosen backend is logged once
+pointer as the universal fallback.  "Warm" means loaded: ``auto`` never
+compiles on the evaluation path.  :meth:`CodegenBackend.load_cached`
+installs a cached kernel without compiling; long-lived callers (the
+power-query server) compile the misses off their hot path.  The chosen backend is logged once
 per compiled diagram (and again on change) through ``repro.obs``.
 
 Telemetry
@@ -54,16 +59,21 @@ Telemetry
 Every dispatched batch bumps ``eval.backend.<name>.batches`` and
 ``eval.backend.<name>.rows``; auto-selections bump
 ``eval.backend.selected.<name>``; codegen compilations run under an
-``eval.codegen.compile`` tracer span and fallbacks count in
+``eval.codegen.compile`` tracer span and count in
+``eval.codegen.compiles``, kernels loaded from the disk cache count in
+``eval.codegen.cache_hits``, and fallbacks count in
 ``eval.codegen.fallbacks``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
@@ -76,11 +86,6 @@ from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dd.compiled import CompiledDD
-
-try:  # pragma: no cover - exercised implicitly on import
-    import cffi
-except ImportError:  # pragma: no cover - cffi is a baked-in dependency
-    cffi = None
 
 try:  # numba is optional and absent in the default environment
     from numba import njit as _njit
@@ -104,6 +109,7 @@ TAB_MAX_SUPPORT = 16
 _MET = get_metrics()
 _CODEGEN_FALLBACKS = _MET.counter("eval.codegen.fallbacks")
 _CODEGEN_COMPILES = _MET.counter("eval.codegen.compiles")
+_CODEGEN_CACHE_HITS = _MET.counter("eval.codegen.cache_hits")
 _FUSED_CALLS = _MET.counter("eval.codegen.fused_calls")
 _FUSED_SEGMENTS = _MET.counter("eval.codegen.fused_segments")
 
@@ -491,21 +497,23 @@ class BitParallelBackend(EvalBackend):
 
 
 # ---------------------------------------------------------------------------
-# Codegen backend (C via cc + cffi, optional numba path)
+# Codegen backend (C via cc, loaded with ctypes; optional numba path)
 # ---------------------------------------------------------------------------
 #: Rows evaluated per unrolled block: this many independent root-to-leaf
 #: chains are in flight at once, hiding the slot table's L1 load latency.
 _CODEGEN_BLOCK = 8
 
-_CDEF_EVAL = "void {name}(const unsigned char *m, long rows, long stride, double *out);"
-_CDEF_FUSED = (
-    "void eval_fused(long nseg, const int32_t *ids, "
-    "const unsigned char **mats, const long *rows, "
-    "const long *strides, double **outs);"
-)
+#: A ``cc`` run that takes longer than this is killed (with every process
+#: it started) and the compilation fails with :class:`BackendError`, so a
+#: hung toolchain degrades to levelized instead of hanging the caller.
+CODEGEN_COMPILE_TIMEOUT_S = 120.0
 
-#: Process-wide cache of compiled libraries, keyed by source digest.
+_COMPILE_FLAGS = ("-O3", "-shared", "-fPIC")
+
+#: Process-wide cache of loaded libraries, keyed like the disk cache.
 _LIBRARY_CACHE: Dict[str, "_CodegenLibrary"] = {}
+
+_C_LONG = np.dtype(f"i{ctypes.sizeof(ctypes.c_long)}")
 
 
 def _find_cc() -> str | None:
@@ -514,6 +522,71 @@ def _find_cc() -> str | None:
         if path:
             return path
     return None
+
+
+def _toolchain() -> Tuple[str, bytes]:
+    """The C compiler and the identity every cache key starts with."""
+    compiler = _find_cc()
+    if compiler is None:
+        raise BackendError("codegen backend found no C compiler (cc/gcc/clang)")
+    return compiler, _toolchain_identity(compiler)
+
+
+@functools.lru_cache(maxsize=None)
+def _toolchain_identity(compiler: str) -> bytes:
+    """Digest of the emitter (this module's source), the compile flags and
+    the compiler binary (resolved path, size, mtime): an edit to any of
+    them turns every old cache entry into a miss.  Once per process."""
+    real = os.path.realpath(compiler)
+    info = os.stat(real)
+    identity = hashlib.sha256()
+    with open(__file__, "rb") as handle:
+        identity.update(handle.read())
+    identity.update(
+        repr((real, info.st_size, info.st_mtime_ns, _COMPILE_FLAGS)).encode()
+    )
+    return identity.digest()
+
+
+def kernel_cache_dir() -> str | None:
+    """The per-user directory compiled kernels persist in, or None.
+
+    ``$XDG_CACHE_HOME/repro/kernels`` (default ``~/.cache/repro/kernels``),
+    created with mode 0700.  Loading a library from it executes its code,
+    so a directory this user does not own, or that others may write to,
+    is refused (None): kernels are then compiled privately per process.
+    """
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    path = os.path.join(base, "repro", "kernels")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.stat(path)
+    except OSError:
+        return None
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        return None
+    return path
+
+
+def _cache_key(plans: Sequence[dict], fused: bool, identity: bytes) -> str:
+    """Digest of the plan arrays (plus toolchain identity) of one library.
+
+    Hashing the arrays the emitter reads, rather than the C source it
+    would write, keeps the cache-hit path free of source emission.
+    """
+    digest = hashlib.sha256(identity)
+    digest.update(b"fused" if fused else b"single")
+    for plan in plans:
+        arrays = [np.asarray(plan["cols"], dtype=np.int32)]
+        arrays += [np.asarray(t, dtype=np.int32) for t in plan["tables"]]
+        arrays.append(np.asarray(plan["final_values"], dtype=np.float64))
+        digest.update(np.int64(len(arrays)).tobytes())
+        for array in arrays:
+            digest.update(np.int64(array.size).tobytes())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def _c_double(value: float) -> str:
@@ -629,13 +702,17 @@ def _emit_eval(index: int, plan: dict, lines: List[str]) -> None:
     lines.append("}")
 
 
-def _emit_source(plans: Sequence[dict], fused: bool) -> Tuple[str, str]:
-    """C source plus the matching cffi cdef block for ``plans``."""
+def _emit_source(plans: Sequence[dict], fused: bool) -> str:
+    """C source of one library holding ``eval_<i>`` per plan.
+
+    Every kernel has the signature ``void eval_<i>(const unsigned char
+    *m, long rows, long stride, double *out)``; a fused library adds
+    ``void eval_fused(long nseg, const int32_t *ids, const unsigned char
+    **mats, const long *rows, const long *strides, double **outs)``.
+    """
     lines = ["#include <stdint.h>", "#include <math.h>", ""]
-    decls = []
     for index, plan in enumerate(plans):
         _emit_eval(index, plan, lines)
-        decls.append(_CDEF_EVAL.format(name=f"eval_{index}"))
     if fused:
         lines.append(
             "void eval_fused(long nseg, const int32_t *ids, "
@@ -653,101 +730,191 @@ def _emit_source(plans: Sequence[dict], fused: bool) -> Tuple[str, str]:
         lines.append("        }")
         lines.append("    }")
         lines.append("}")
-        decls.append(_CDEF_FUSED)
-    return "\n".join(lines) + "\n", "\n".join(decls)
+    return "\n".join(lines) + "\n"
 
 
 class _CodegenLibrary:
-    """A loaded shared object holding one or more eval kernels."""
+    """A shared object holding one or more eval kernels, loaded by ctypes.
 
-    def __init__(self, ffi, lib, count: int, fused: bool):
-        self._ffi = ffi
-        self._lib = lib
+    ctypes releases the GIL for the duration of each foreign call, and
+    the fixed signatures above need no declaration parsing at load time.
+    Raises ``OSError`` (unloadable file) or ``AttributeError`` (missing
+    entry point) when ``path`` is not a library this module emitted.
+    """
+
+    def __init__(self, path: str, count: int, fused: bool):
+        lib = ctypes.CDLL(path)
+        self._kernels = []
+        for index in range(count):
+            fn = getattr(lib, f"eval_{index}")
+            fn.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
+            fn.restype = None
+            self._kernels.append(fn)
+        self._fused = None
+        if fused:
+            self._fused = lib.eval_fused
+            self._fused.argtypes = (ctypes.c_long,) + (ctypes.c_void_p,) * 5
+            self._fused.restype = None
         self.count = count
         self.fused = fused
 
     def call(self, index: int, matrix: np.ndarray) -> np.ndarray:
-        ffi = self._ffi
         rows, stride = matrix.shape
         out = np.empty(rows, dtype=np.float64)
         if rows:
-            fn = getattr(self._lib, f"eval_{index}")
-            fn(
-                ffi.cast("const unsigned char *", ffi.from_buffer(matrix)),
-                rows,
-                stride,
-                ffi.cast("double *", ffi.from_buffer(out, require_writable=True)),
-            )
+            self._kernels[index](matrix.ctypes.data, rows, stride, out.ctypes.data)
         return out
 
     def call_fused(
         self, segments: Sequence[Tuple[int, np.ndarray]]
     ) -> List[np.ndarray]:
         """Evaluate ``[(kernel index, matrix), ...]`` in one foreign call."""
-        ffi = self._ffi
         outs = [np.empty(m.shape[0], dtype=np.float64) for _, m in segments]
-        mat_buffers = [ffi.from_buffer(m) for _, m in segments]
-        out_buffers = [
-            ffi.from_buffer(o, require_writable=True) for o in outs
-        ]
-        ids = ffi.new("int32_t[]", [i for i, _ in segments])
-        rows = ffi.new("long[]", [m.shape[0] for _, m in segments])
-        strides = ffi.new("long[]", [m.shape[1] for _, m in segments])
-        mats = ffi.new(
-            "const unsigned char *[]",
-            [ffi.cast("const unsigned char *", b) for b in mat_buffers],
+        ids = np.array([i for i, _ in segments], dtype=np.int32)
+        rows = np.array([m.shape[0] for _, m in segments], dtype=_C_LONG)
+        strides = np.array([m.shape[1] for _, m in segments], dtype=_C_LONG)
+        mats = np.array([m.ctypes.data for _, m in segments], dtype=np.uintp)
+        optrs = np.array([o.ctypes.data for o in outs], dtype=np.uintp)
+        self._fused(
+            len(segments),
+            ids.ctypes.data,
+            mats.ctypes.data,
+            rows.ctypes.data,
+            strides.ctypes.data,
+            optrs.ctypes.data,
         )
-        optrs = ffi.new(
-            "double *[]", [ffi.cast("double *", b) for b in out_buffers]
-        )
-        self._lib.eval_fused(len(segments), ids, mats, rows, strides, optrs)
         return outs
 
 
-def _compile_library(plans: Sequence[dict], fused: bool) -> _CodegenLibrary:
-    """Compile (or fetch from cache) the library for ``plans``.
+def _load_library(
+    plans: Sequence[dict], fused: bool, compile: bool = True
+) -> "_CodegenLibrary | None":
+    """The library for ``plans``: from this process, the disk cache, or cc.
 
-    Raises :class:`BackendError` when no toolchain is available or the
-    compiler fails; the ``eval.codegen.compile_fail`` fault site fires
-    here so chaos tests can provoke the fallback path on demand.
+    With ``compile=False`` only caches are consulted (None on a miss), so
+    the caller never waits for a compiler.  Raises :class:`BackendError`
+    when no toolchain is available or the compiler fails; the
+    ``eval.codegen.compile_fail`` fault site fires first, so chaos tests
+    can provoke the fallback path on demand.
     """
     from repro.testing.faults import maybe_fail
 
     maybe_fail("eval.codegen.compile_fail")
-    source, decls = _emit_source(plans, fused)
-    digest = hashlib.sha256(source.encode()).hexdigest()
-    library = _LIBRARY_CACHE.get(digest)
+    compiler, identity = _toolchain()
+    key = _cache_key(plans, fused, identity)
+    library = _LIBRARY_CACHE.get(key)
     if library is not None:
         return library
-    if cffi is None:
-        raise BackendError("codegen backend needs cffi, which is unavailable")
-    compiler = _find_cc()
-    if compiler is None:
-        raise BackendError("codegen backend found no C compiler (cc/gcc/clang)")
+    cache_dir = kernel_cache_dir()
+    if cache_dir is not None:
+        library = _load_cached(cache_dir, key, len(plans), fused)
+    if library is None:
+        if not compile:
+            return None
+        library = _compile(plans, fused, compiler, cache_dir, key)
+    _LIBRARY_CACHE[key] = library
+    return library
+
+
+def _load_cached(
+    cache_dir: str, key: str, count: int, fused: bool
+) -> "_CodegenLibrary | None":
+    """Load one published cache entry; None on a miss or a damaged entry.
+
+    An entry is ``<key>.so`` plus ``<key>.so.sha256`` holding the
+    library's digest; a library whose bytes do not match (truncated,
+    torn, overwritten) is never loaded, so it is recompiled instead.
+    """
+    path = os.path.join(cache_dir, key + ".so")
+    try:
+        with open(path + ".sha256") as handle:
+            expected = handle.read().strip()
+        with open(path, "rb") as handle:
+            actual = hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        return None
+    if actual != expected:
+        return None
+    try:
+        library = _CodegenLibrary(path, count, fused)
+    except (OSError, AttributeError):
+        return None
+    _CODEGEN_CACHE_HITS.inc()
+    return library
+
+
+def _run_compiler(compiler: str, c_path: str, so_path: str) -> None:
+    """One ``cc`` run, bounded by :data:`CODEGEN_COMPILE_TIMEOUT_S`.
+
+    The compiler runs in its own session so that a timeout kills its
+    whole process group (``cc1``, ``as``, ``ld``), not just ``cc`` itself.
+    """
+    proc = subprocess.Popen(
+        [compiler, *_COMPILE_FLAGS, "-o", so_path, c_path],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        _, stderr = proc.communicate(timeout=CODEGEN_COMPILE_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:  # pragma: no cover - group already gone
+            pass
+        proc.communicate()
+        raise BackendError(
+            f"codegen C compilation timed out after "
+            f"{CODEGEN_COMPILE_TIMEOUT_S:g}s"
+        ) from None
+    if proc.returncode != 0:
+        raise BackendError(
+            "codegen C compilation failed: "
+            + stderr.decode(errors="replace")[:500]
+        )
+
+
+def _compile(
+    plans: Sequence[dict],
+    fused: bool,
+    compiler: str,
+    cache_dir: str | None,
+    key: str,
+) -> _CodegenLibrary:
+    """Compile ``plans``, publish the entry to ``cache_dir``, and load it.
+
+    The build happens in a scratch directory inside the cache directory
+    (same file system), and the library and its digest are published by
+    atomic rename, so concurrent servers never see a partial entry.  The
+    scratch directory is removed whatever happens; without a usable
+    cache directory the library is loaded from a private temp directory
+    before that removal (the loaded mapping outlives the file).
+    """
+    source = _emit_source(plans, fused)
     with get_tracer().span(
         "eval.codegen.compile", kernels=len(plans), fused=fused
     ) as span:
-        workdir = tempfile.mkdtemp(prefix="repro-codegen-")
-        c_path = os.path.join(workdir, "kernel.c")
-        so_path = os.path.join(workdir, "kernel.so")
-        with open(c_path, "w") as handle:
-            handle.write(source)
-        proc = subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", "-o", so_path, c_path],
-            capture_output=True,
-        )
-        if proc.returncode != 0:
-            raise BackendError(
-                "codegen C compilation failed: "
-                + proc.stderr.decode(errors="replace")[:500]
-            )
-        ffi = cffi.FFI()
-        ffi.cdef(decls)
-        lib = ffi.dlopen(so_path)
+        workdir = tempfile.mkdtemp(prefix="repro-codegen-", dir=cache_dir)
+        try:
+            c_path = os.path.join(workdir, "kernel.c")
+            so_path = os.path.join(workdir, "kernel.so")
+            with open(c_path, "w") as handle:
+                handle.write(source)
+            _run_compiler(compiler, c_path, so_path)
+            if cache_dir is not None:
+                with open(so_path, "rb") as handle:
+                    digest = hashlib.sha256(handle.read()).hexdigest()
+                published = os.path.join(cache_dir, key + ".so")
+                os.replace(so_path, published)
+                with open(c_path, "w") as handle:
+                    handle.write(digest + "\n")
+                os.replace(c_path, published + ".sha256")
+                so_path = published
+            library = _CodegenLibrary(so_path, len(plans), fused)
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
         span.set("source_bytes", len(source))
     _CODEGEN_COMPILES.inc()
-    library = _CodegenLibrary(ffi, lib, len(plans), fused)
-    _LIBRARY_CACHE[digest] = library
     return library
 
 
@@ -793,6 +960,31 @@ class CodegenBackend(EvalBackend):
     def warm(self, compiled: "CompiledDD") -> None:
         self._ensure(compiled)
 
+    def load_cached(self, compiled: "CompiledDD") -> bool:
+        """Install this diagram's kernel from a cache, never compiling.
+
+        True when a codegen kernel is ready (already warm, or loaded from
+        the process or disk cache).  False on a miss or any failure, with
+        the state left cold so a later :meth:`warm` can compile — which
+        is how a server loads every cached kernel before it reports ready
+        and compiles the misses off its event loop.
+        """
+        state = compiled._backend_state.get("codegen")
+        if state is not None:
+            return state["library"] is not None
+        if not self.supports(compiled):
+            return False
+        try:
+            library = _load_library(
+                [_plan_of(compiled)], fused=False, compile=False
+            )
+        except Exception:  # noqa: BLE001 - a cold cache is never an error
+            return False
+        if library is None:
+            return False
+        compiled._backend_state["codegen"] = {"library": library, "numba": None}
+        return True
+
     @staticmethod
     def _ensure(compiled: "CompiledDD") -> dict:
         state = compiled._backend_state.get("codegen")
@@ -800,7 +992,7 @@ class CodegenBackend(EvalBackend):
             return state
         state = {"library": None, "numba": None}
         try:
-            state["library"] = _compile_library([_plan_of(compiled)], fused=False)
+            state["library"] = _load_library([_plan_of(compiled)], fused=False)
         except Exception as exc:  # noqa: BLE001 - any failure => fallback
             if _njit is not None:  # pragma: no cover - numba not installed
                 try:
@@ -861,7 +1053,7 @@ class FusedKernel:
                 )
         self._index = {key: i for i, (key, _) in enumerate(items)}
         self._diagrams = dict(items)
-        self._library = _compile_library(
+        self._library = _load_library(
             [_plan_of(compiled) for _, compiled in items], fused=True
         )
 
@@ -913,6 +1105,7 @@ register(CodegenBackend())
 
 __all__ = [
     "BITPARALLEL_MIN_ROWS",
+    "CODEGEN_COMPILE_TIMEOUT_S",
     "CODEGEN_SLOT_LIMIT",
     "ENV_BACKEND",
     "TAB_MAX_SUPPORT",
@@ -923,6 +1116,7 @@ __all__ = [
     "LevelizedBackend",
     "PointerBackend",
     "get_backend",
+    "kernel_cache_dir",
     "record_batch",
     "register",
     "registered_names",

@@ -24,9 +24,9 @@ backend is differenced against:
   an active-row mask, ``O(P · depth)`` element operations.
 
 The registry adds a **bit-parallel** backend (64 patterns per uint64
-lane) and a **codegen** backend (the levelized plan emitted as C and
-compiled via cc/cffi); ``evaluate_batch(kernel=...)`` accepts any
-registered backend name, ``"auto"`` applies the selection policy of
+lane) and a **codegen** backend (the levelized plan emitted as C,
+compiled with cc and loaded with ctypes); ``evaluate_batch(kernel=...)``
+accepts any registered backend name, ``"auto"`` applies the policy of
 :func:`repro.dd.backends.select_backend`.
 
 The node store of a :class:`~repro.dd.manager.DDManager` is append-only

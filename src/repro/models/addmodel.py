@@ -193,6 +193,14 @@ class AddPowerModel(PowerModel):
         position = {name: k for k, name in enumerate(space.input_names)}
         # External input index -> position inside the transition space.
         self._space_position = [position[name] for name in external]
+        # DD variable columns of each external input's initial and final
+        # bit: the weave of :meth:`_pack_batch`, fixed for the model's life.
+        self._xi_cols = np.array(
+            [space.xi(pos) for pos in self._space_position], dtype=np.intp
+        )
+        self._xf_cols = np.array(
+            [space.xf(pos) for pos in self._space_position], dtype=np.intp
+        )
         #: Weight callback used for any further shrinking of this model.
         self.weight_fn: Optional[WeightFn] = None
         #: Default evaluation backend for :meth:`pair_capacitances` calls
@@ -239,10 +247,8 @@ class AddPowerModel(PowerModel):
         if initial.shape != final.shape:
             raise ModelError("initial and final batches differ in shape")
         packed = np.empty((initial.shape[0], 2 * self.num_inputs), dtype=bool)
-        xi_cols = [self.space.xi(pos) for pos in self._space_position]
-        xf_cols = [self.space.xf(pos) for pos in self._space_position]
-        packed[:, xi_cols] = initial
-        packed[:, xf_cols] = final
+        packed[:, self._xi_cols] = initial
+        packed[:, self._xf_cols] = final
         return packed
 
     def pair_capacitances(self, initial, final, kernel: Optional[str] = None) -> np.ndarray:
@@ -272,9 +278,11 @@ class AddPowerModel(PowerModel):
         Long-lived consumers (the power-query server, sweep runners) call
         this once at load time so the first real batch is served at full
         speed.  Returns the name of the backend that was warmed.  With
-        ``kernel=None`` the model's :attr:`eval_kernel` is warmed;
-        ``"auto"`` warms the backend the selection policy would pick for a
-        large batch.
+        ``kernel=None`` the model's :attr:`eval_kernel` is warmed.
+        ``"auto"`` never compiles: it loads the model's codegen kernel
+        when the kernel cache holds it (returning ``"codegen"``), and
+        otherwise warms the backend the selection policy would pick for
+        a large batch.
         """
         from repro.dd import backends as _backends
 
@@ -282,6 +290,9 @@ class AddPowerModel(PowerModel):
             kernel = self.eval_kernel
         compiled = self.compiled()
         if kernel == "auto":
+            codegen = _backends.get_backend("codegen")
+            if codegen.load_cached(compiled):
+                return codegen.name
             backend = _backends.select_backend(compiled, rows=1 << 20)
         else:
             backend = _backends.get_backend(kernel)

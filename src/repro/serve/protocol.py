@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -181,6 +182,14 @@ def _parse_bits(bits, width: int, field: str) -> List[bool]:
     return [ch == "1" for ch in bits]
 
 
+#: Exact pair container types accepted without the per-pair
+#: ``isinstance`` walk (what ``json.loads`` produces).
+_PAIR_TYPES = {list, tuple}
+#: Byte table mapping ``'0'``/``'1'`` to the numpy bools 0/1 and every
+#: other byte to 2, which marks the request as malformed.
+_TO_BOOL = bytes(0 if c == 48 else 1 if c == 49 else 2 for c in range(256))
+
+
 def parse_transitions(
     request: Dict, num_inputs: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -188,6 +197,14 @@ def parse_transitions(
 
     Accepts either the single-transition ``initial``/``final`` fields or
     a ``pairs`` list; exactly one spelling must be present.
+
+    Every bit string of the request is joined into one buffer (for
+    ``pairs`` initial and final interleave, so row ``r`` of the buffer
+    is ``initial_r + final_r``) and read with a single ``np.frombuffer``
+    pass; the returned matrices are bool views into that buffer.  Any
+    malformed entry sends the request down the per-string path of
+    :func:`_parse_each`, which words the same ``bad_request`` message the
+    protocol has always given.
     """
     has_single = "initial" in request or "final" in request
     has_pairs = "pairs" in request
@@ -197,18 +214,59 @@ def parse_transitions(
             "evaluate needs either 'initial'+'final' or 'pairs' (not both)",
         )
     if has_single:
+        strings = (request.get("initial"), request.get("final"))
+    else:
+        pairs = request["pairs"]
+        if not _is_pair_list(pairs):
+            raise ProtocolError(
+                "bad_request", "'pairs' must be a non-empty list of [initial, final]"
+            )
+        strings = list(chain.from_iterable(pairs))
+    parsed = _parse_joined(strings, num_inputs)
+    if parsed is None:
+        parsed = _parse_each(request, num_inputs)
+    return parsed
+
+
+def _is_pair_list(pairs) -> bool:
+    """Whether ``pairs`` is a non-empty list of 2-element lists/tuples."""
+    if not isinstance(pairs, list) or not pairs:
+        return False
+    if set(map(type, pairs)) <= _PAIR_TYPES and set(map(len, pairs)) == {2}:
+        return True
+    return all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)
+
+
+def _parse_joined(strings, width: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """One-pass parse of interleaved initial/final strings; None if malformed."""
+    try:
+        joined = "".join(strings).encode("ascii")
+    except (TypeError, UnicodeEncodeError):  # a non-str entry, a non-ASCII digit
+        return None
+    # Per-string lengths, not the joined length: mixed lengths can sum to
+    # the right total.
+    if set(map(len, strings)) != {width}:
+        return None
+    codes = joined.translate(_TO_BOOL)
+    if 2 in codes:  # a byte that is not a binary digit
+        return None
+    bits = np.frombuffer(bytearray(codes), dtype=np.bool_)
+    bits = bits.reshape(len(strings) // 2, 2, width)
+    return bits[:, 0], bits[:, 1]
+
+
+def _parse_each(request: Dict, num_inputs: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-character parse of a request whose shape is already validated.
+
+    Only malformed requests come here: it raises the ``bad_request``
+    naming the first offending field (every initial string is checked
+    before any final string), exactly as the protocol always has.
+    """
+    if "pairs" not in request:
         initial = [_parse_bits(request.get("initial"), num_inputs, "initial")]
         final = [_parse_bits(request.get("final"), num_inputs, "final")]
     else:
         pairs = request["pairs"]
-        if (
-            not isinstance(pairs, list)
-            or not pairs
-            or not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)
-        ):
-            raise ProtocolError(
-                "bad_request", "'pairs' must be a non-empty list of [initial, final]"
-            )
         initial = [_parse_bits(p[0], num_inputs, "pairs[].initial") for p in pairs]
         final = [_parse_bits(p[1], num_inputs, "pairs[].final") for p in pairs]
     return np.array(initial, dtype=bool), np.array(final, dtype=bool)

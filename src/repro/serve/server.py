@@ -5,12 +5,24 @@
 protocol of :mod:`repro.serve.protocol` over TCP.  Its defining feature is
 the request path: concurrent ``evaluate`` requests for the *same* model are
 not evaluated one by one — they are parked in a per-model
-:class:`_Batcher` and flushed as **one** numpy call through the compiled
-ADD kernel once either ``max_batch`` rows have accumulated or the oldest
-request has waited ``max_wait_ms``.  A root-to-leaf batch walk costs
-almost the same for 64 rows as for one (the per-level numpy overhead
-dominates), so batching converts per-request kernel cost into per-batch
-kernel cost; ``benchmarks/bench_serving.py`` quantifies the win.
+:class:`_Batcher` and flushed as **one** kernel call once either
+``max_batch`` rows have accumulated or the event loop has finished the
+work it already had.  With the default ``max_wait_ms = 0`` a model's
+batch flushes on the next loop iteration (``loop.call_soon``): every
+request read in the same burst of socket reads shares the call, and a
+lone request waits for nothing.  A positive ``max_wait_ms`` instead holds
+the batch open for that long (a fixed window), which pays off only where
+each kernel call is expensive, e.g. on a host without a C compiler.
+
+Kernels: under ``kernel="auto"`` each model's compiled C kernel is loaded
+from the per-user kernel cache (:func:`repro.dd.backends.kernel_cache_dir`)
+before the server reports ready.  A model whose kernel is not cached is
+served on the levelized numpy kernel while a worker thread compiles it;
+the compiled kernel is swapped in with one reference assignment, so the
+event loop never waits for ``cc`` (model reloads take the same path).
+``stop()`` waits for an in-flight compile, which then publishes its cache
+entry.  The end-to-end benchmark (``benchmarks/e2e``, workloads ``point``
+and ``bulk``) measures the serving path layer by layer.
 
 Operational behaviour:
 
@@ -25,8 +37,8 @@ Operational behaviour:
   closes the streams.
 
 The server is single-loop asyncio: evaluation happens inline on the event
-loop (numpy releases the GIL for the heavy gathers, and a batch costs
-tens of microseconds), which keeps the design free of cross-thread
+loop (the compiled kernels release the GIL, and a batch costs tens of
+microseconds), which keeps the request path free of cross-thread
 handoff.  For tests, the CLI and benchmarks, :func:`start_in_thread` runs
 a server on a private loop in a daemon thread and returns a handle.
 """
@@ -39,6 +51,8 @@ import random
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -99,8 +113,10 @@ class ServerConfig:
     port: int = 0
     #: Flush a model's queue as soon as this many rows are parked.
     max_batch: int = 256
-    #: ... or when the oldest parked request has waited this long.
-    max_wait_ms: float = 2.0
+    #: ... or when the oldest parked request has waited this long; 0
+    #: flushes on the next event-loop iteration (every request read in
+    #: the same burst still shares one kernel call).
+    max_wait_ms: float = 0.0
     #: Requests not answered within this budget get a ``timeout`` error.
     request_timeout_s: float = 30.0
     #: False = evaluate each request inline as it arrives (the unbatched
@@ -114,6 +130,8 @@ class ServerConfig:
     max_parked_rows: Optional[int] = None
     #: Evaluation backend the served models are pinned and pre-warmed to
     #: ("auto" lets the compiled layer pick; see :mod:`repro.dd.backends`).
+    #: Under "auto" cached codegen kernels load at start-up and misses
+    #: compile in a background thread.
     kernel: str = "auto"
     #: Fuse every codegen-eligible model into one shared library and
     #: drain *all* batchers in one foreign call per flush.  Falls back to
@@ -274,7 +292,8 @@ class _Batcher:
         self.model = model
         self.pending: List[_Pending] = []
         self.rows = 0
-        self.timer: Optional[asyncio.TimerHandle] = None
+        #: The scheduled flush (``call_soon`` or ``call_later`` handle).
+        self.timer: Optional[asyncio.Handle] = None
 
 
 class PowerQueryServer:
@@ -301,17 +320,71 @@ class PowerQueryServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._stopping = False
         self.slowlog = SlowQueryLog(config)
-        # Pre-compile every model and warm its evaluation backend so the
-        # first query pays neither the O(model size) flattening nor a
-        # backend's one-time setup (C compilation, table packing).
-        for model in self.models.values():
-            model.eval_kernel = config.kernel
-            try:
-                model.warm_eval_backend()
-            except Exception:  # noqa: BLE001 - warm is an optimisation
-                pass  # the query path degrades per batch instead
+        #: Single worker thread compiling codegen kernels (created on
+        #: first use), and the compiles it was handed.
+        self._compiler: Optional[ThreadPoolExecutor] = None
+        self._compiles: list = []
+        self._uncompiled = self._warm_models()
         #: Cross-model fused kernel (None = fusion off or unavailable).
         self._fused = self._build_fused() if config.fused else None
+
+    def _warm_models(self) -> list:
+        """Pin and warm every model; return the diagrams left to compile.
+
+        Warming pre-pays the O(model size) flattening and a backend's
+        one-time setup so the first query runs at full speed.  Under
+        ``kernel="auto"`` it loads cached codegen kernels; the diagrams
+        whose kernel missed the cache are returned for
+        :meth:`_compile_in_background`.
+        """
+        from repro.dd.backends import get_backend
+
+        codegen = get_backend("codegen")
+        uncompiled = []
+        for model in self.models.values():
+            model.eval_kernel = self.config.kernel
+            try:
+                warmed = model.warm_eval_backend()
+            except Exception:  # noqa: BLE001 - warm is an optimisation
+                continue  # the query path degrades per batch instead
+            compiled = model.compiled()
+            if (
+                self.config.kernel == "auto"
+                and warmed != "codegen"
+                and codegen.supports(compiled)
+            ):
+                uncompiled.append(compiled)
+        return uncompiled
+
+    def _compile_in_background(self, diagrams: list) -> None:
+        """Compile codegen kernels off the event loop, one at a time.
+
+        Each compile installs its kernel into the diagram's backend state
+        in one assignment, after which ``auto`` selects it; until then
+        (and for good, if the compile fails) the model is served on the
+        levelized kernel.
+        """
+        if not diagrams or self._stopping:
+            return
+        from repro.dd.backends import get_backend
+
+        if self._compiler is None:
+            self._compiler = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-codegen"
+            )
+        warm = get_backend("codegen").warm
+        self._compiles = [
+            future for future in self._compiles if not future.done()
+        ] + [self._compiler.submit(warm, compiled) for compiled in diagrams]
+
+    def wait_for_kernels(self, timeout: Optional[float] = None) -> bool:
+        """Block until every background compile so far has finished.
+
+        True when none is still running.  Safe to call from any thread
+        other than the server's event loop (tests, benchmarks).
+        """
+        _, running = wait_futures(list(self._compiles), timeout=timeout)
+        return not running
 
     def _build_fused(self):
         """Fuse every codegen-eligible model; None if fusion is impossible.
@@ -356,6 +429,8 @@ class PowerQueryServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_at = time.time()
+        self._compile_in_background(self._uncompiled)
+        self._uncompiled = []
 
     async def serve_forever(self) -> None:
         """Run until :meth:`request_stop` (or the ``shutdown`` op) fires."""
@@ -381,6 +456,8 @@ class PowerQueryServer:
         the fused kernel is rebuilt if fusion is on.  Connections stay
         open throughout; only requests naming a model absent from the new
         set start failing (with ``unknown_model``, as for any bad name).
+        Kernels missing from the kernel cache compile in the background,
+        exactly as at start-up, so a reload never stalls the loop on cc.
         """
         if not models:
             raise ValueError("reload_models needs at least one model")
@@ -389,12 +466,7 @@ class PowerQueryServer:
         self._batchers.clear()
         self._parked_rows = 0
         self.models = dict(models)
-        for model in self.models.values():
-            model.eval_kernel = self.config.kernel
-            try:
-                model.warm_eval_backend()
-            except Exception:  # noqa: BLE001 - warm is an optimisation
-                pass
+        self._compile_in_background(self._warm_models())
         self._fused = self._build_fused() if self.config.fused else None
         _RELOADS.inc()
 
@@ -432,6 +504,13 @@ class PowerQueryServer:
             except Exception:  # pragma: no cover - already-broken transport
                 pass
         self._writers.clear()
+        if self._compiler is not None:
+            # Queued compiles are dropped; the running one (bounded by
+            # the compiler timeout) finishes and publishes its cache
+            # entry, so no cc process outlives the server.
+            await asyncio.to_thread(
+                self._compiler.shutdown, wait=True, cancel_futures=True
+            )
         self._write_trace_file()
 
     def _write_trace_file(self) -> None:
@@ -744,9 +823,11 @@ class PowerQueryServer:
             self._flush(name)
         elif batcher.timer is None:
             loop = asyncio.get_running_loop()
-            batcher.timer = loop.call_later(
-                self.config.max_wait_ms / 1000.0, self._flush, name
-            )
+            wait_ms = self.config.max_wait_ms
+            if wait_ms > 0:
+                batcher.timer = loop.call_later(wait_ms / 1000.0, self._flush, name)
+            else:
+                batcher.timer = loop.call_soon(self._flush, name)
 
     def _flush(self, name: str) -> None:
         """Answer every request parked for one model in a single kernel call.

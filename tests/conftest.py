@@ -8,6 +8,20 @@ import pytest
 from repro.netlist import Netlist, NetlistBuilder
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_kernel_cache(tmp_path_factory):
+    """Point the per-user kernel cache at a session temp dir.
+
+    Compiled codegen kernels persist under ``$XDG_CACHE_HOME``; a test
+    run must neither read kernels an earlier run left there nor fill the
+    real cache.  Spawned CLI processes inherit the variable.
+    """
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture
 def fig2_netlist() -> Netlist:
     """The paper's Figure 2 unit: g1 = x1', g2 = x2', g3 = x1 + x2.

@@ -170,3 +170,31 @@ class TestTelemetry:
         payload = json.loads(metrics.read_text())
         assert payload["metrics"]["fuzz.iterations"]["value"] == 2
         assert "fuzz.failures" in payload["metrics"]
+
+
+class TestServeDefaults:
+    """``repro serve`` declares no tuning default of its own."""
+
+    def _config(self, *flags):
+        from repro.cli import _serve_config, build_parser
+
+        return _serve_config(build_parser().parse_args(["serve", "cm85", *flags]))
+
+    def test_no_tuning_flags_give_server_config_defaults(self):
+        from repro.serve import ServerConfig
+
+        assert self._config("--port", "0") == ServerConfig()
+
+    def test_given_flags_override_only_their_field(self):
+        from dataclasses import replace
+
+        from repro.serve import ServerConfig
+
+        config = self._config(
+            "--port", "0", "--max-wait-ms", "2", "--kernel", "levelized",
+            "--request-timeout", "5", "--no-batching",
+        )
+        assert config == replace(
+            ServerConfig(), max_wait_ms=2.0, kernel="levelized",
+            request_timeout_s=5.0, batching=False,
+        )
