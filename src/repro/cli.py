@@ -476,9 +476,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _run() -> None:
         await server.start()
         config = server.config
+        wait = "auto" if config.max_wait_ms is None else f"{config.max_wait_ms}ms"
         mode = (
-            f"micro-batching (max_batch={config.max_batch}, "
-            f"max_wait={config.max_wait_ms}ms)"
+            f"micro-batching (max_batch={config.max_batch}, max_wait={wait})"
             if config.batching
             else "unbatched"
         )
@@ -1195,8 +1195,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=None,
-        help="flush after the oldest request waited this long "
-        "(default 0: on the next event-loop iteration)",
+        help="flush after the oldest request waited this long (default: "
+        "next event-loop iteration for a model with a compiled kernel, "
+        "2 ms otherwise)",
     )
     serve.add_argument(
         "--request-timeout",

@@ -30,10 +30,12 @@ registered by name.  Four backends ship with the library:
     Emits the levelized plan as C (level pairs fused into radix-4
     tables to halve the dependent-load chain, block-of-8 row unrolling
     so ~8 independent L1 load chains overlap), compiles it with the
-    system C compiler and loads it with ctypes.  Compiled libraries
-    persist in a per-user kernel cache (:func:`kernel_cache_dir`) keyed
-    by a digest of the plan arrays, the emitter and the compiler, so a
-    later process loads them without emitting C or running ``cc``.  The
+    system C compiler and loads it with ctypes.  Long-lived callers (the
+    power-query server, :class:`FusedKernel`) persist compiled libraries
+    in a per-user kernel cache (:func:`kernel_cache_dir`) keyed by a
+    digest of the plan arrays, the emitter and the compiler, so a later
+    process loads them without emitting C or running ``cc``; every other
+    compile stays in its process.  The
     same emitter produces **fused** libraries: one shared object holding
     several models' kernels plus an ``eval_fused`` entry point, so the
     serving micro-batcher evaluates many models in one foreign call
@@ -51,8 +53,9 @@ bit-parallel for large batches on thin plans, then levelized, with
 pointer as the universal fallback.  "Warm" means loaded: ``auto`` never
 compiles on the evaluation path.  :meth:`CodegenBackend.load_cached`
 installs a cached kernel without compiling; long-lived callers (the
-power-query server) compile the misses off their hot path.  The chosen backend is logged once
-per compiled diagram (and again on change) through ``repro.obs``.
+power-query server) compile the misses off their hot path.  The chosen
+backend is logged once per compiled diagram (and again on change)
+through ``repro.obs``.
 
 Telemetry
 ---------
@@ -76,6 +79,7 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import time
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -218,19 +222,20 @@ def select_backend(compiled: "CompiledDD", rows: int) -> EvalBackend:
             return backend
     if compiled._lev_children is None:
         backend = _REGISTRY["pointer"]
+    elif codegen_loaded(compiled):
+        backend = _REGISTRY["codegen"]
+    elif rows >= BITPARALLEL_MIN_ROWS and len(compiled.support) <= TAB_MAX_SUPPORT:
+        backend = _REGISTRY["bitparallel"]
     else:
-        state = compiled._backend_state.get("codegen")
-        if state is not None and state.get("library") is not None:
-            backend = _REGISTRY["codegen"]
-        elif (
-            rows >= BITPARALLEL_MIN_ROWS
-            and len(compiled.support) <= TAB_MAX_SUPPORT
-        ):
-            backend = _REGISTRY["bitparallel"]
-        else:
-            backend = _REGISTRY["levelized"]
+        backend = _REGISTRY["levelized"]
     _log_selection(compiled, backend, rows, forced=False)
     return backend
+
+
+def codegen_loaded(compiled: "CompiledDD") -> bool:
+    """Whether a compiled codegen kernel is installed for ``compiled``."""
+    state = compiled._backend_state.get("codegen")
+    return state is not None and state["library"] is not None
 
 
 def _log_selection(
@@ -510,6 +515,10 @@ CODEGEN_COMPILE_TIMEOUT_S = 120.0
 
 _COMPILE_FLAGS = ("-O3", "-shared", "-fPIC")
 
+#: Libraries the kernel cache keeps: each publish removes the oldest
+#: entries beyond this many.
+KERNEL_CACHE_MAX_ENTRIES = 256
+
 #: Process-wide cache of loaded libraries, keyed like the disk cache.
 _LIBRARY_CACHE: Dict[str, "_CodegenLibrary"] = {}
 
@@ -787,12 +796,16 @@ class _CodegenLibrary:
 
 
 def _load_library(
-    plans: Sequence[dict], fused: bool, compile: bool = True
+    plans: Sequence[dict], fused: bool, persist: bool = False, compile: bool = True
 ) -> "_CodegenLibrary | None":
     """The library for ``plans``: from this process, the disk cache, or cc.
 
-    With ``compile=False`` only caches are consulted (None on a miss), so
-    the caller never waits for a compiler.  Raises :class:`BackendError`
+    Only ``persist=True`` callers use the per-user kernel cache: they load
+    a published entry, and their compiles publish one.  Other compiles
+    build in a private temp directory and are kept by this process alone,
+    so one-off runs (fuzzing, sweeps, tests) leave nothing on disk.  With
+    ``compile=False`` only caches are consulted (None on a miss), so the
+    caller never waits for a compiler.  Raises :class:`BackendError`
     when no toolchain is available or the compiler fails; the
     ``eval.codegen.compile_fail`` fault site fires first, so chaos tests
     can provoke the fallback path on demand.
@@ -805,7 +818,7 @@ def _load_library(
     library = _LIBRARY_CACHE.get(key)
     if library is not None:
         return library
-    cache_dir = kernel_cache_dir()
+    cache_dir = kernel_cache_dir() if persist else None
     if cache_dir is not None:
         library = _load_cached(cache_dir, key, len(plans), fused)
     if library is None:
@@ -874,6 +887,41 @@ def _run_compiler(compiler: str, c_path: str, so_path: str) -> None:
         )
 
 
+def _prune_cache(cache_dir: str) -> None:
+    """Bound the kernel cache: keep the newest published libraries.
+
+    Removes every library beyond :data:`KERNEL_CACHE_MAX_ENTRIES` (oldest
+    first, with its digest file) and the scratch directories of compiles
+    killed before their ``finally`` ran.  A scratch directory is removed
+    only when it is older than twice the compiler timeout, so a compile
+    still running elsewhere keeps its own.
+    """
+    now = time.time()
+    libraries = []
+    try:
+        with os.scandir(cache_dir) as entries:
+            for entry in entries:
+                try:
+                    mtime = entry.stat(follow_symlinks=False).st_mtime
+                except OSError:
+                    continue
+                if entry.name.startswith("repro-codegen-"):
+                    if now - mtime > 2 * CODEGEN_COMPILE_TIMEOUT_S:
+                        shutil.rmtree(entry.path, ignore_errors=True)
+                elif entry.name.endswith(".so"):
+                    libraries.append((mtime, entry.path))
+    except OSError:
+        return
+    libraries.sort(reverse=True)
+    for _, path in libraries[KERNEL_CACHE_MAX_ENTRIES:]:
+        # Digest first: a library without one is a miss, never loaded.
+        for stale in (path + ".sha256", path):
+            try:
+                os.unlink(stale)
+            except OSError:
+                pass
+
+
 def _compile(
     plans: Sequence[dict],
     fused: bool,
@@ -885,10 +933,11 @@ def _compile(
 
     The build happens in a scratch directory inside the cache directory
     (same file system), and the library and its digest are published by
-    atomic rename, so concurrent servers never see a partial entry.  The
-    scratch directory is removed whatever happens; without a usable
-    cache directory the library is loaded from a private temp directory
-    before that removal (the loaded mapping outlives the file).
+    atomic rename, so concurrent servers never see a partial entry, and
+    the cache is then pruned (:func:`_prune_cache`).  The scratch
+    directory is removed whatever happens; with no cache directory the
+    library is loaded from a private temp directory before that removal
+    (the loaded mapping outlives the file).
     """
     source = _emit_source(plans, fused)
     with get_tracer().span(
@@ -910,6 +959,7 @@ def _compile(
                     handle.write(digest + "\n")
                 os.replace(c_path, published + ".sha256")
                 so_path = published
+                _prune_cache(cache_dir)
             library = _CodegenLibrary(so_path, len(plans), fused)
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -957,8 +1007,15 @@ class CodegenBackend(EvalBackend):
             and len(compiled._lev_children) <= CODEGEN_SLOT_LIMIT
         )
 
-    def warm(self, compiled: "CompiledDD") -> None:
-        self._ensure(compiled)
+    def warm(self, compiled: "CompiledDD", persist: bool = False) -> None:
+        """Compile (or load) this diagram's kernel ahead of its first batch.
+
+        ``persist=True`` goes through the per-user kernel cache: a
+        published kernel is loaded, and a fresh compile is published for
+        the next process.  Long-lived servers pass it; other callers keep
+        their kernels in this process only.
+        """
+        self._ensure(compiled, persist)
 
     def load_cached(self, compiled: "CompiledDD") -> bool:
         """Install this diagram's kernel from a cache, never compiling.
@@ -976,7 +1033,7 @@ class CodegenBackend(EvalBackend):
             return False
         try:
             library = _load_library(
-                [_plan_of(compiled)], fused=False, compile=False
+                [_plan_of(compiled)], fused=False, persist=True, compile=False
             )
         except Exception:  # noqa: BLE001 - a cold cache is never an error
             return False
@@ -986,13 +1043,15 @@ class CodegenBackend(EvalBackend):
         return True
 
     @staticmethod
-    def _ensure(compiled: "CompiledDD") -> dict:
+    def _ensure(compiled: "CompiledDD", persist: bool = False) -> dict:
         state = compiled._backend_state.get("codegen")
         if state is not None:
             return state
         state = {"library": None, "numba": None}
         try:
-            state["library"] = _load_library([_plan_of(compiled)], fused=False)
+            state["library"] = _load_library(
+                [_plan_of(compiled)], fused=False, persist=persist
+            )
         except Exception as exc:  # noqa: BLE001 - any failure => fallback
             if _njit is not None:  # pragma: no cover - numba not installed
                 try:
@@ -1054,7 +1113,7 @@ class FusedKernel:
         self._index = {key: i for i, (key, _) in enumerate(items)}
         self._diagrams = dict(items)
         self._library = _load_library(
-            [_plan_of(compiled) for _, compiled in items], fused=True
+            [_plan_of(compiled) for _, compiled in items], fused=True, persist=True
         )
 
     @property
@@ -1108,6 +1167,7 @@ __all__ = [
     "CODEGEN_COMPILE_TIMEOUT_S",
     "CODEGEN_SLOT_LIMIT",
     "ENV_BACKEND",
+    "KERNEL_CACHE_MAX_ENTRIES",
     "TAB_MAX_SUPPORT",
     "BitParallelBackend",
     "CodegenBackend",
@@ -1115,6 +1175,7 @@ __all__ = [
     "FusedKernel",
     "LevelizedBackend",
     "PointerBackend",
+    "codegen_loaded",
     "get_backend",
     "kernel_cache_dir",
     "record_batch",

@@ -182,9 +182,6 @@ def _parse_bits(bits, width: int, field: str) -> List[bool]:
     return [ch == "1" for ch in bits]
 
 
-#: Exact pair container types accepted without the per-pair
-#: ``isinstance`` walk (what ``json.loads`` produces).
-_PAIR_TYPES = {list, tuple}
 #: Byte table mapping ``'0'``/``'1'`` to the numpy bools 0/1 and every
 #: other byte to 2, which marks the request as malformed.
 _TO_BOOL = bytes(0 if c == 48 else 1 if c == 49 else 2 for c in range(256))
@@ -217,7 +214,11 @@ def parse_transitions(
         strings = (request.get("initial"), request.get("final"))
     else:
         pairs = request["pairs"]
-        if not _is_pair_list(pairs):
+        if (
+            not isinstance(pairs, list)
+            or not pairs
+            or not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)
+        ):
             raise ProtocolError(
                 "bad_request", "'pairs' must be a non-empty list of [initial, final]"
             )
@@ -226,15 +227,6 @@ def parse_transitions(
     if parsed is None:
         parsed = _parse_each(request, num_inputs)
     return parsed
-
-
-def _is_pair_list(pairs) -> bool:
-    """Whether ``pairs`` is a non-empty list of 2-element lists/tuples."""
-    if not isinstance(pairs, list) or not pairs:
-        return False
-    if set(map(type, pairs)) <= _PAIR_TYPES and set(map(len, pairs)) == {2}:
-        return True
-    return all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)
 
 
 def _parse_joined(strings, width: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:

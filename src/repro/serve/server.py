@@ -6,13 +6,15 @@ protocol of :mod:`repro.serve.protocol` over TCP.  Its defining feature is
 the request path: concurrent ``evaluate`` requests for the *same* model are
 not evaluated one by one — they are parked in a per-model
 :class:`_Batcher` and flushed as **one** kernel call once either
-``max_batch`` rows have accumulated or the event loop has finished the
-work it already had.  With the default ``max_wait_ms = 0`` a model's
-batch flushes on the next loop iteration (``loop.call_soon``): every
-request read in the same burst of socket reads shares the call, and a
-lone request waits for nothing.  A positive ``max_wait_ms`` instead holds
-the batch open for that long (a fixed window), which pays off only where
-each kernel call is expensive, e.g. on a host without a C compiler.
+``max_batch`` rows have accumulated or the batch window has passed.  By
+default (``max_wait_ms = None``) the window follows the model's kernel.
+A model served by a compiled codegen kernel flushes on the next
+event-loop iteration: every request read in the same burst of socket
+reads shares the call, and a lone request waits for nothing.  A model
+on an uncompiled kernel (levelized numpy, ~90 µs a call: a host without
+a C compiler, or a kernel still compiling) holds the batch open for
+:data:`UNCOMPILED_WAIT_MS`, so fewer, larger calls share that cost.  A
+number for ``max_wait_ms`` fixes the window for every model.
 
 Kernels: under ``kernel="auto"`` each model's compiled C kernel is loaded
 from the per-user kernel cache (:func:`repro.dd.backends.kernel_cache_dir`)
@@ -20,9 +22,11 @@ before the server reports ready.  A model whose kernel is not cached is
 served on the levelized numpy kernel while a worker thread compiles it;
 the compiled kernel is swapped in with one reference assignment, so the
 event loop never waits for ``cc`` (model reloads take the same path).
-``stop()`` waits for an in-flight compile, which then publishes its cache
-entry.  The end-to-end benchmark (``benchmarks/e2e``, workloads ``point``
-and ``bulk``) measures the serving path layer by layer.
+``stop()`` drops queued compiles and waits for an in-flight one, which
+then publishes its cache entry; a cancelled :meth:`serve_forever`
+(ctrl-C) runs ``stop()`` too.  The end-to-end benchmark
+(``benchmarks/e2e``, workloads ``point`` and ``bulk``) measures the
+serving path layer by layer.
 
 Operational behaviour:
 
@@ -58,6 +62,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.dd.backends import codegen_loaded
 from repro.models.addmodel import AddPowerModel
 from repro.obs.metrics import LATENCY_BUCKETS, get_metrics
 from repro.obs.trace import (
@@ -103,6 +108,10 @@ _SERIALIZE_SECONDS = _MET.histogram(
 )
 _SLOWLOG_ENTRIES = _MET.counter("serve.slowlog.entries")
 
+#: Batch window (ms) of a model without a compiled codegen kernel, under
+#: the default ``max_wait_ms=None``.
+UNCOMPILED_WAIT_MS = 2.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -113,10 +122,11 @@ class ServerConfig:
     port: int = 0
     #: Flush a model's queue as soon as this many rows are parked.
     max_batch: int = 256
-    #: ... or when the oldest parked request has waited this long; 0
-    #: flushes on the next event-loop iteration (every request read in
-    #: the same burst still shares one kernel call).
-    max_wait_ms: float = 0.0
+    #: ... or when the oldest parked request has waited this long.  None
+    #: picks per model and per flush: 0 (the next event-loop iteration)
+    #: while the model has a compiled codegen kernel, else
+    #: :data:`UNCOMPILED_WAIT_MS`.
+    max_wait_ms: Optional[float] = None
     #: Requests not answered within this budget get a ``timeout`` error.
     request_timeout_s: float = 30.0
     #: False = evaluate each request inline as it arrives (the unbatched
@@ -164,7 +174,7 @@ class ServerConfig:
             _backends.get_backend(self.kernel)  # unknown name fails fast
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
+        if self.max_wait_ms is not None and self.max_wait_ms < 0:
             raise ValueError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
             )
@@ -292,8 +302,7 @@ class _Batcher:
         self.model = model
         self.pending: List[_Pending] = []
         self.rows = 0
-        #: The scheduled flush (``call_soon`` or ``call_later`` handle).
-        self.timer: Optional[asyncio.Handle] = None
+        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class PowerQueryServer:
@@ -375,7 +384,10 @@ class PowerQueryServer:
         warm = get_backend("codegen").warm
         self._compiles = [
             future for future in self._compiles if not future.done()
-        ] + [self._compiler.submit(warm, compiled) for compiled in diagrams]
+        ] + [
+            self._compiler.submit(warm, compiled, persist=True)
+            for compiled in diagrams
+        ]
 
     def wait_for_kernels(self, timeout: Optional[float] = None) -> bool:
         """Block until every background compile so far has finished.
@@ -437,8 +449,12 @@ class PowerQueryServer:
         if self._server is None:
             await self.start()
         assert self._stop_event is not None
-        await self._stop_event.wait()
-        await self.stop()
+        try:
+            await self._stop_event.wait()
+        finally:
+            # Also on cancellation (ctrl-C under asyncio.run): stop()
+            # drops queued compiles, so exit never waits for them.
+            await self.stop()
 
     def request_stop(self) -> None:
         """Ask the server loop to shut down (safe from within handlers)."""
@@ -823,11 +839,20 @@ class PowerQueryServer:
             self._flush(name)
         elif batcher.timer is None:
             loop = asyncio.get_running_loop()
-            wait_ms = self.config.max_wait_ms
-            if wait_ms > 0:
-                batcher.timer = loop.call_later(wait_ms / 1000.0, self._flush, name)
-            else:
-                batcher.timer = loop.call_soon(self._flush, name)
+            batcher.timer = loop.call_later(
+                self._batch_window_ms(name, model) / 1000.0, self._flush, name
+            )
+
+    def _batch_window_ms(self, name: str, model: AddPowerModel) -> float:
+        """How long a model's new batch stays open before it flushes."""
+        wait_ms = self.config.max_wait_ms
+        if wait_ms is not None:
+            return wait_ms
+        if (self._fused is not None and name in self._fused) or codegen_loaded(
+            model.compiled()
+        ):
+            return 0.0
+        return UNCOMPILED_WAIT_MS
 
     def _flush(self, name: str) -> None:
         """Answer every request parked for one model in a single kernel call.

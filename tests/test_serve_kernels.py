@@ -3,10 +3,12 @@ and codegen kernels loaded from the persistent per-user kernel cache."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from repro.errors import BackendError
 from repro.models import build_add_model
 from repro.models.serialize import model_from_dict, model_to_dict
 from repro.obs import get_metrics
-from repro.serve import PowerQueryClient, ServerConfig, start_in_thread
+from repro.serve import PowerQueryClient, PowerQueryServer, ServerConfig, start_in_thread
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
+from repro.serve.server import UNCOMPILED_WAIT_MS
 from repro.testing import faults
 
 _MET = get_metrics()
@@ -220,6 +223,11 @@ def _fresh_copies(models):
     return {name: model_from_dict(model_to_dict(m)) for name, m in models.items()}
 
 
+needs_cc = pytest.mark.skipif(
+    dd_backends._find_cc() is None, reason="no C compiler on this host"
+)
+
+
 def _bits(row) -> str:
     return "".join("1" if b else "0" for b in row)
 
@@ -248,13 +256,36 @@ def _burst(host, port, name, width, count, seed):
 
 
 class TestFlushWhenIdle:
-    def test_default_config_flushes_on_next_iteration(self):
-        assert ServerConfig().max_wait_ms == 0.0
+    def test_uncompiled_model_keeps_the_window(self):
+        server = PowerQueryServer(
+            _fresh_copies(_small_models("window")), ServerConfig(kernel="levelized")
+        )
+        assert ServerConfig().max_wait_ms is None
+        for name, model in server.models.items():
+            assert server._batch_window_ms(name, model) == UNCOMPILED_WAIT_MS
+
+    @needs_cc
+    def test_compiled_model_flushes_on_next_iteration(self):
+        server = PowerQueryServer(
+            _fresh_copies(_small_models("window")), ServerConfig(kernel="codegen")
+        )
+        for name, model in server.models.items():
+            assert server._batch_window_ms(name, model) == 0.0
+
+    @pytest.mark.parametrize("wait_ms", [0.0, 5.0])
+    def test_explicit_wait_applies_to_every_model(self, wait_ms):
+        server = PowerQueryServer(
+            _fresh_copies(_small_models("window")),
+            ServerConfig(kernel="levelized", max_wait_ms=wait_ms),
+        )
+        for name, model in server.models.items():
+            assert server._batch_window_ms(name, model) == wait_ms
 
     def test_pipelined_burst_shares_one_kernel_call(self):
         models = _small_models("burst")
         name, model = next(iter(models.items()))
-        with start_in_thread(models, ServerConfig(kernel="levelized")) as handle:
+        config = ServerConfig(kernel="levelized", max_wait_ms=0.0)
+        with start_in_thread(models, config) as handle:
             before = _MET.snapshot()
             _, _, replies = _burst(
                 handle.host, handle.port, name, model.num_inputs, 16, seed=1
@@ -267,7 +298,7 @@ class TestFlushWhenIdle:
     def test_max_batch_still_caps_a_flush(self):
         models = _small_models("capped")
         name, model = next(iter(models.items()))
-        config = ServerConfig(kernel="levelized", max_batch=4)
+        config = ServerConfig(kernel="levelized", max_batch=4, max_wait_ms=0.0)
         with start_in_thread(models, config) as handle:
             before = _MET.snapshot()
             initial, final, replies = _burst(
@@ -339,11 +370,6 @@ def _child_compilers():
     return found
 
 
-needs_cc = pytest.mark.skipif(
-    dd_backends._find_cc() is None, reason="no C compiler on this host"
-)
-
-
 @needs_cc
 class TestKernelCache:
     def test_second_start_compiles_nothing_and_answers_identically(
@@ -354,8 +380,9 @@ class TestKernelCache:
         with start_in_thread(_fresh_copies(models), ServerConfig()) as handle:
             assert handle.server.wait_for_kernels(60.0)
             first = _answers(handle, models)
-            for model in handle.server.models.values():
+            for name, model in handle.server.models.items():
                 assert model.compiled()._backend_state["codegen"]["library"]
+                assert handle.server._batch_window_ms(name, model) == 0.0
         assert _counter("eval.codegen.compiles") == compiles + len(models)
         assert len(list(kernel_cache.glob("*.so"))) == len(models)
 
@@ -375,7 +402,7 @@ class TestKernelCache:
     def test_truncated_entry_is_recompiled(self, kernel_cache):
         models = _small_models("torn", seeds=(3,))
         (name, model), = models.items()
-        dd_backends.get_backend("codegen").warm(model.compiled())
+        dd_backends.get_backend("codegen").warm(model.compiled(), persist=True)
         (entry,) = kernel_cache.glob("*.so")
         data = entry.read_bytes()
         # Replace (not truncate in place: this process has it mapped).
@@ -389,7 +416,7 @@ class TestKernelCache:
         codegen = dd_backends.get_backend("codegen")
         assert not codegen.load_cached(compiled)  # damaged entry: a miss
         compiles = _counter("eval.codegen.compiles")
-        codegen.warm(compiled)
+        codegen.warm(compiled, persist=True)
         assert _counter("eval.codegen.compiles") == compiles + 1
         assert entry.read_bytes() != data[: len(data) // 2]
         packed = fresh._pack_batch(
@@ -408,8 +435,10 @@ class TestKernelCache:
             with start_in_thread(_fresh_copies(models), ServerConfig()) as handle:
                 assert handle.server.wait_for_kernels(60.0)
                 _answers(handle, models)
-                for model in handle.server.models.values():
+                for name, model in handle.server.models.items():
                     assert model.compiled()._backend_state["codegen"]["library"] is None
+                    window = handle.server._batch_window_ms(name, model)
+                    assert window == UNCOMPILED_WAIT_MS
         assert _counter("eval.codegen.fallbacks") == fallbacks + len(models)
         assert _counter("eval.backend.levelized.batches") >= levelized + len(models)
         assert not list(kernel_cache.glob("*.so"))
@@ -458,16 +487,90 @@ class TestKernelCache:
         assert list(kernel_cache.glob("*.so"))  # the in-flight compile published
         assert _child_compilers() == []
 
+    def test_cancelled_serve_forever_stops_and_drops_queued_compiles(
+        self, kernel_cache, monkeypatch
+    ):
+        models = _small_models("cancel", seeds=(19, 20))
+        entered, release = _gated_compiler(monkeypatch)
+        server = PowerQueryServer(_fresh_copies(models), ServerConfig())
+        compiles = _counter("eval.codegen.compiles")
+
+        async def main():
+            # What asyncio.run does to its main task on ctrl-C.
+            task = asyncio.create_task(server.serve_forever())
+            try:
+                assert await asyncio.to_thread(entered.wait, 10.0)
+                task.cancel()
+                queued = server._compiles[-1]
+                for _ in range(1000):
+                    if queued.cancelled():
+                        break
+                    await asyncio.sleep(0.01)
+                assert queued.cancelled()  # stop() ran and dropped it
+            finally:
+                release.set()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(main())
+        assert server._stopping
+        assert _counter("eval.codegen.compiles") == compiles + 1
+        assert len(list(kernel_cache.glob("*.so"))) == 1
+        assert _child_compilers() == []
+
 
 @needs_cc
 class TestCompileHygiene:
     def test_scratch_dirs_are_removed(self, kernel_cache, tmp_path, monkeypatch):
         monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
         (model,) = _small_models("tidy", seeds=(12,)).values()
-        dd_backends.get_backend("codegen").warm(model.compiled())
+        dd_backends.get_backend("codegen").warm(model.compiled(), persist=True)
         leftovers = list(tmp_path.rglob("repro-codegen-*"))
         assert leftovers == []
         assert sorted(p.suffix for p in kernel_cache.iterdir()) == [".sha256", ".so"]
+
+    def test_one_off_compiles_leave_nothing_on_disk(
+        self, kernel_cache, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        (model,) = _small_models("oneoff", seeds=(17,)).values()
+        compiled = model.compiled()
+        packed = model._pack_batch(
+            np.eye(model.num_inputs, dtype=bool), np.ones((model.num_inputs,) * 2, bool)
+        )
+        assert np.array_equal(
+            compiled.evaluate_batch(packed, kernel="codegen"),
+            compiled.evaluate_batch(packed, kernel="levelized"),
+        )
+        assert dd_backends.codegen_loaded(compiled)
+        assert not kernel_cache.exists()
+        assert list(tmp_path.rglob("repro-codegen-*")) == []
+
+    def test_publish_prunes_old_entries_and_dead_scratch_dirs(
+        self, kernel_cache, monkeypatch
+    ):
+        monkeypatch.setattr(dd_backends, "KERNEL_CACHE_MAX_ENTRIES", 2)
+        kernel_cache.mkdir(parents=True, mode=0o700)
+        old = time.time() - 3600
+        for age, name in enumerate(["oldest", "older", "old"]):
+            library = kernel_cache / f"{name}.so"
+            library.write_bytes(b"\0")
+            (kernel_cache / f"{name}.so.sha256").write_text("0\n")
+            os.utime(library, (old + age, old + age))
+        dead = kernel_cache / "repro-codegen-dead"
+        dead.mkdir()
+        (dead / "kernel.c").write_text("")
+        os.utime(dead, (old, old))
+        running = kernel_cache / "repro-codegen-running"
+        running.mkdir()
+
+        (model,) = _small_models("prune", seeds=(18,)).values()
+        dd_backends.get_backend("codegen").warm(model.compiled(), persist=True)
+        names = {p.name for p in kernel_cache.iterdir()}
+        (fresh,) = {n for n in names if n.endswith(".so")} - {"old.so"}
+        assert names == {
+            fresh, fresh + ".sha256", "old.so", "old.so.sha256", running.name
+        }
 
     def test_unusable_cache_dir_still_compiles_privately(self, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-dir"
@@ -478,7 +581,7 @@ class TestCompileHygiene:
         assert dd_backends.kernel_cache_dir() is None
         (model,) = _small_models("private", seeds=(13,)).values()
         compiled = model.compiled()
-        dd_backends.get_backend("codegen").warm(compiled)
+        dd_backends.get_backend("codegen").warm(compiled, persist=True)
         assert compiled._backend_state["codegen"]["library"] is not None
         assert list(tmp_path.glob("repro-codegen-*")) == []
 
@@ -500,6 +603,6 @@ class TestCompileHygiene:
         (model,) = _small_models("hung", seeds=(14,)).values()
         plan = dd_backends._plan_of(model.compiled())
         with pytest.raises(BackendError, match="timed out"):
-            dd_backends._load_library([plan], fused=False)
+            dd_backends._load_library([plan], fused=False, persist=True)
         assert _child_compilers() == []
         assert list((tmp_path / "xdg" / "repro" / "kernels").iterdir()) == []
